@@ -1,7 +1,8 @@
 //! PR-8 benchmark: million-node streaming generation, sharded CSR storage,
-//! and the prefetched minibatch pipeline.
+//! and per-link-type sampling-cache invalidation.
 //!
-//! Five self-asserted gates:
+//! Three self-asserted gates (2 and 4 were retired with the code they
+//! measured; see DESIGN.md, "Scale path"):
 //!
 //! 1. **Sublinear generator memory** — draining [`PaperStream::windowed`]
 //!    over a [`CompactWorld`] must hold generator state that grows strictly
@@ -10,13 +11,6 @@
 //!    [`MEM_SUBLINEAR_FRACTION`] of the paper-count ratio. (Entity tables
 //!    scale with `sqrt(papers)` under [`WorldConfig::at_scale`] and the
 //!    citation pools are windowed, so the expected ratio is ~`sqrt`.)
-//! 2. **Pipeline throughput** — training with `prefetch = 4` (sampling and
-//!    MI planning on a producer thread) must reach at least
-//!    [`PIPELINE_SPEEDUP_GATE`]x the serial loop's steps/sec when the host
-//!    has two or more CPUs. On a single-CPU host there is nothing to
-//!    overlap with, so the gate relaxes to [`SINGLE_CPU_FLOOR`]x
-//!    ("not meaningfully slower") and the JSON carries
-//!    `"single_cpu_waiver": true` — see DESIGN.md, "Scale path".
 //! 3. **Per-link-type stamp hit rate** — replaying a mixed serving
 //!    workload (1-hop author neighborhoods + 2-hop paper neighborhoods)
 //!    across a TE-style term relink must hit on every author entry: those
@@ -24,9 +18,6 @@
 //!    whole-graph stamp flushed the entire cache on any relink (hit rate
 //!    exactly 0), so any surviving entry is a strict improvement; the gate
 //!    additionally pins the exact expected survivor set.
-//! 4. **Pipeline determinism** — `TrainReport` and parameter fingerprints
-//!    must be bitwise-identical between the serial loop and the prefetched
-//!    pipeline at 1 and 4 tensor threads.
 //! 5. **Shard round-trip** — writing the 100k-paper streamed graph to a
 //!    [`ShardStore`] and loading it back must reproduce the graph's
 //!    content fingerprint, and a selective `cites`-only load must read
@@ -42,31 +33,18 @@
 // Benchmark binary: wall-clock timing is its whole job (clippy.toml backstop).
 #![allow(clippy::disallowed_types)]
 
-use catehgn::{params_fingerprint, report_fingerprint, train_with, CateHgn, TrainOptions};
 use dblp_sim::{CompactWorld, Dataset, PaperStream, ScaleOptions, WorldConfig};
 use hetgraph::{BlockCache, NodeId, ShardStore};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
-use tensor::par;
 
 /// Generator heap ratio must stay under this fraction of the paper-count
 /// ratio between the base and largest measured tiers.
 const MEM_SUBLINEAR_FRACTION: f64 = 0.5;
 
-/// Required pipeline speedup over the serial loop with >= 2 host CPUs.
-const PIPELINE_SPEEDUP_GATE: f64 = 1.2;
-
-/// Single-CPU floor: the pipeline must not be meaningfully slower than
-/// the serial loop even when there is no second core to overlap with.
-const SINGLE_CPU_FLOOR: f64 = 0.90;
-
 /// Citation-pool window for the streamed tiers (papers per domain pool).
 const POOL_WINDOW: usize = 4096;
-
-/// Training runs per timing arm; the minimum is the robust estimator
-/// under CI load (noise only ever inflates a run).
-const TRAIN_ROUNDS: usize = 3;
 
 fn rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
@@ -119,37 +97,6 @@ fn run_tier(n_papers: usize) -> TierResult {
         world_heap_bytes: world.heap_bytes(),
         rss_kb: rss_kb(),
     }
-}
-
-/// Trains a fresh model on a fresh tiny dataset and returns
-/// `(best wall seconds, report fingerprint, params fingerprint)`.
-fn train_arm(prefetch: usize) -> (f64, u64, u64) {
-    let mut best = f64::INFINITY;
-    let mut fps = (0u64, 0u64);
-    for _ in 0..TRAIN_ROUNDS {
-        let mut ds = Dataset::full(&WorldConfig::tiny(), 16);
-        let mut cfg = catehgn::ModelConfig::test_tiny();
-        cfg.outer_iters = 2;
-        cfg.mini_iters = 12;
-        let mut model = CateHgn::new(
-            cfg,
-            ds.features.cols(),
-            ds.graph.schema().num_node_types(),
-            ds.graph.schema().num_link_types(),
-        );
-        let mut opts = TrainOptions {
-            prefetch,
-            ..TrainOptions::default()
-        };
-        let t = Instant::now();
-        let report = train_with(&mut model, &mut ds, &mut opts).expect("training succeeds");
-        best = best.min(t.elapsed().as_secs_f64());
-        fps = (
-            report_fingerprint(&report),
-            params_fingerprint(&model.params),
-        );
-    }
-    (best, fps.0, fps.1)
 }
 
 /// Replays the mixed serving workload through `cache`: 1-hop author
@@ -276,39 +223,6 @@ fn main() {
          post-relink hit rate of 0"
     );
 
-    // ---- Gates 2 + 4: pipeline throughput and bitwise determinism.
-    // Timing arms run single-threaded tensor kernels so the measured
-    // overlap is sampling-vs-compute, not kernel parallelism.
-    par::set_num_threads(1);
-    let (serial_secs, serial_rfp, serial_pfp) = train_arm(0);
-    let (pipe_secs, pipe_rfp, pipe_pfp) = train_arm(4);
-    let speedup = serial_secs / pipe_secs;
-    let single_cpu_waiver = host_cpus < 2;
-    let gate = if single_cpu_waiver {
-        SINGLE_CPU_FLOOR
-    } else {
-        PIPELINE_SPEEDUP_GATE
-    };
-    assert!(
-        speedup >= gate,
-        "prefetched pipeline reached {speedup:.2}x the serial loop \
-         ({serial_secs:.2}s vs {pipe_secs:.2}s); gate is {gate}x on {host_cpus} CPU(s)"
-    );
-    assert_eq!(
-        (serial_rfp, serial_pfp),
-        (pipe_rfp, pipe_pfp),
-        "pipeline diverged from the serial loop at 1 tensor thread"
-    );
-    par::set_num_threads(4);
-    let (_, pipe4_rfp, pipe4_pfp) = train_arm(4);
-    par::set_num_threads(0);
-    assert_eq!(
-        (serial_rfp, serial_pfp),
-        (pipe4_rfp, pipe4_pfp),
-        "pipeline diverged from the serial loop at 4 tensor threads"
-    );
-
-    let steps = 2 * 12; // outer_iters * mini_iters in train_arm
     let tier_json: Vec<String> = tiers
         .iter()
         .map(|t| {
@@ -336,7 +250,7 @@ fn main() {
         r#"{{
   "bench": "bench_scale",
   "pr": 8,
-  "headline": "streaming graph build, sharded CSR storage, prefetched minibatch pipeline",
+  "headline": "streaming graph build, sharded CSR storage, per-link-type cache invalidation",
   "host_cpus": {host_cpus},
   "ci_mode": {ci},
   "generator": {{
@@ -368,29 +282,10 @@ fn main() {
     "hits_after_relink": {hits_after_relink},
     "hit_rate_per_type_stamps": {hit_rate_per_type:.3},
     "hit_rate_global_stamp": {hit_rate_global_stamp:.1}
-  }},
-  "pipeline": {{
-    "description": "train_with at prefetch 4 (producer-thread sampling + MI planning) vs the serial loop, 1 tensor thread",
-    "train_steps": {steps},
-    "serial_secs": {serial_secs:.2},
-    "pipelined_secs": {pipe_secs:.2},
-    "serial_steps_per_sec": {serial_sps:.1},
-    "pipelined_steps_per_sec": {pipe_sps:.1},
-    "speedup": {speedup:.2},
-    "gate": {gate:.2},
-    "single_cpu_waiver": {single_cpu_waiver}
-  }},
-  "determinism": {{
-    "report_fingerprint": {serial_rfp},
-    "params_fingerprint": {serial_pfp},
-    "bitwise_identical_serial_vs_prefetch4": true,
-    "bitwise_identical_at_1_and_4_threads": true
   }}
 }}
 "#,
         tiers_block = tier_json.join(",\n"),
-        serial_sps = steps as f64 / serial_secs,
-        pipe_sps = steps as f64 / pipe_secs,
     );
 
     let path = concat!(

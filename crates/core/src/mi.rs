@@ -19,9 +19,9 @@ type EdgeSegment<'a> = (&'a [hetgraph::BlockEdge], &'a mut [(usize, usize, f32)]
 /// The RNG draws one layer transition's [`mi_loss`] would make: the
 /// subsample swap targets (empty when the block fits under `max_edges`)
 /// and the negative source rows. Pre-drawing them decouples the loss's
-/// stochastic choices from the tape construction, which is what lets a
-/// prefetching producer thread draw them ahead of time while staying
-/// bitwise-identical to the historical serial loop.
+/// stochastic choices from the tape construction, so the draws and the
+/// tape can be built (and timed) apart while staying bitwise-identical to
+/// the single-call [`mi_loss`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MiDraw {
     /// `swap_js[i]` is the `gen_range(i..total)` target of subsample swap
@@ -79,8 +79,7 @@ pub fn plan_mi<R: Rng>(blocks: &[Block], enabled: bool, max_edges: usize, rng: &
 /// are used, sampled uniformly across all link types; negatives draw a
 /// random source node from the same frontier (`u' ~ P`, Eq. 10).
 ///
-/// Equivalent to [`plan_transition`] + [`mi_loss_planned`]; kept as the
-/// single-call entry point for direct (non-pipelined) callers.
+/// Equivalent to [`plan_transition`] + [`mi_loss_planned`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Eq. 12 inputs
 pub fn mi_loss<R: Rng>(
     g: &mut Graph,

@@ -264,17 +264,8 @@ impl CateHgn {
         out
     }
 
-    /// Draws the [`MiPlan`] of one step for `blocks` — exactly the RNG
-    /// consumption [`CateHgn::hgn_loss`] performs, decoupled from the tape
-    /// so a prefetching producer can draw it ahead of the forward pass.
-    pub fn plan_hgn<R: Rng>(&self, blocks: &[Block], rng: &mut R) -> MiPlan {
-        plan_mi(blocks, self.cfg.ablation.mi, self.cfg.mi_max_edges, rng)
-    }
-
     /// The HGN-phase loss `L_sup + lambda * L_unsup` (Eq. 2) for one batch.
-    /// Returns `(total, sup_value, mi_value)`. Equivalent to
-    /// [`CateHgn::plan_hgn`] + [`CateHgn::hgn_loss_planned`] — same RNG
-    /// consumption, bitwise-identical tape.
+    /// Returns `(total, sup_value, mi_value)`.
     pub fn hgn_loss<R: Rng>(
         &self,
         g: &mut Graph,
@@ -283,13 +274,13 @@ impl CateHgn {
         labels: &Tensor,
         rng: &mut R,
     ) -> (Var, f32, f32) {
-        let plan = self.plan_hgn(blocks, rng);
+        let plan = plan_mi(blocks, self.cfg.ablation.mi, self.cfg.mi_max_edges, rng);
         self.hgn_loss_planned(g, fw, blocks, labels, &plan)
     }
 
     /// [`CateHgn::hgn_loss`] with the stochastic choices supplied by a
-    /// pre-drawn [`MiPlan`] — the prefetched-pipeline entry point.
-    pub fn hgn_loss_planned(
+    /// pre-drawn [`MiPlan`].
+    fn hgn_loss_planned(
         &self,
         g: &mut Graph,
         fw: &ForwardOut,

@@ -399,17 +399,6 @@ pub struct TrainOptions {
     /// worker pool, and averages their gradients in fixed lane order —
     /// results depend on the lane count but never on the thread count.
     pub data_lanes: usize,
-    /// Minibatch prefetch depth. `0` or `1` runs the historical serial
-    /// loop; `n > 1` moves batch drawing, neighborhood sampling, and MI
-    /// planning onto a producer thread that keeps up to `n` assembled
-    /// steps queued ahead of the optimizer. The producer pre-draws every
-    /// stochastic choice in serial order and ships the post-step RNG
-    /// state with each payload, so losses, parameters, and checkpoints
-    /// are bitwise-identical to the serial loop at any depth — `prefetch`
-    /// is deliberately *not* recorded in [`TrainState`], and a checkpoint
-    /// can be resumed under a different depth. Ignored when
-    /// `data_lanes > 1` (the lane coordinator already overlaps sampling).
-    pub prefetch: usize,
 }
 
 // -------------------------------------------------------------------

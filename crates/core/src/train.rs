@@ -12,7 +12,6 @@
 //! behavior on clean runs.
 
 use crate::config::ModelConfig;
-use crate::mi::{plan_mi, MiPlan};
 use crate::model::CateHgn;
 use crate::resilience::{
     restore_params, restore_values, snapshot_params, snapshot_values, CheckpointError,
@@ -69,45 +68,6 @@ pub fn train(model: &mut CateHgn, ds: &mut dblp_sim::Dataset) -> TrainReport {
 enum Recovery {
     Skip,
     Rollback,
-}
-
-/// One fully assembled HGN training step, drawn ahead of time by the
-/// prefetch producer ([`TrainOptions::prefetch`] > 1). Everything the
-/// consumer needs to reproduce the serial step bitwise: the raw batch
-/// (pre-poison, pre-dedup), the sampled blocks, the pre-drawn MI plan,
-/// and the main-RNG state *after* all of this step's draws — the
-/// consumer adopts it at checkpoint boundaries and segment exits.
-struct StepPayload {
-    step: u64,
-    seeds: Vec<NodeId>,
-    labels: Vec<f32>,
-    blocks: Vec<Block>,
-    plan: MiPlan,
-    rng_words: [u32; 27],
-}
-
-/// One prefetched CA-phase step: the CA loss draws no per-step RNG beyond
-/// the batch and its blocks, so no plan rides along.
-struct CaPayload {
-    blocks: Vec<Block>,
-    rng_words: [u32; 27],
-}
-
-/// How a pipelined segment ended; recovery (which may need `&mut Dataset`)
-/// runs outside the producer scope.
-enum Segment {
-    /// All queued steps consumed; the phase position reached its bound.
-    Done,
-    /// `halt_after_steps`, `halt_after_ca`, or a shutdown request hit —
-    /// the final snapshot is already saved.
-    Halt,
-    /// A non-finite step at the current position; the main RNG has been
-    /// positioned after the failed step's draws, exactly like the serial
-    /// loop at the same point.
-    Failed(NonFiniteSource),
-    /// A checkpoint save inside the segment failed (CA consumer only; the
-    /// HGN consumer propagates through its `Result` directly).
-    SaveFailed(CheckpointError),
 }
 
 fn decide(
@@ -177,135 +137,233 @@ impl Lane {
     }
 }
 
-/// Captures the full training state at an HGN mini-iteration or CA
-/// iteration boundary. `phase` is 0 inside the HGN mini-loop and 1 inside
-/// the CA refinement loop; `ca_done` is the completed CA iterations of
-/// round `outer` (meaningful only when `phase == 1`).
-#[allow(clippy::too_many_arguments)]
-fn capture_state(
-    cfg_json: &str,
-    outer: usize,
-    mini: usize,
+/// A step boundary inside round [`Run::cur_outer`].
+#[derive(Clone, Copy)]
+enum Phase {
+    /// The HGN mini-loop, at [`Run::cur_mini`].
+    Hgn,
+    /// The CA refinement loop, after `done` iterations (completed ones
+    /// when a step lands, the failed one's index when it does not).
+    Ca { done: usize },
+}
+
+/// The loop state of [`train_with`] that a checkpoint captures, plus the
+/// checkpoint manager and failure counters. Every step arm — lanes-HGN,
+/// serial-HGN and serial-CA — ends in [`Run::landed`] or [`Run::failed`],
+/// so the save and recovery sequences exist once.
+struct Run {
+    cfg: ModelConfig,
+    cfg_json: String,
+    /// Normalized lane count: 1 is the serial historical loop.
+    lanes: usize,
+    manager: CheckpointManager,
+    cur_outer: usize,
+    cur_mini: usize,
+    /// Partial-round loss accumulators of the HGN mini-loop.
     tot: f32,
     sup_tot: f32,
-    model: &CateHgn,
-    opt: &Optimizer,
-    ca_opt: &Optimizer,
-    rng: &ChaCha8Rng,
+    opt: Optimizer,
+    ca_opt: Optimizer,
+    rng: ChaCha8Rng,
+    report: TrainReport,
     best_val: f32,
-    best_params: &Option<tensor::Params>,
-    te: &Option<TextEnhancer>,
-    report: &TrainReport,
-    ds: &dblp_sim::Dataset,
-    lanes: usize,
-    phase: u64,
-    ca_done: u64,
-) -> TrainState {
-    TrainState {
-        config_json: cfg_json.to_string(),
-        outer: outer as u64,
-        mini: mini as u64,
-        tot,
-        sup_tot,
-        best_val,
-        opt_lr: opt.lr(),
-        opt_steps: opt.steps(),
-        ca_lr: ca_opt.lr(),
-        ca_steps: ca_opt.steps(),
-        rng_words: rng.state_words(),
-        params: snapshot_params(&model.params),
-        best_params: best_params.as_ref().map(snapshot_values),
-        te_term_sets: te.as_ref().map(|te| {
-            te.term_sets
-                .iter()
-                .map(|s| s.iter().map(|t| t.0).collect())
-                .collect()
-        }),
-        report: report.clone(),
-        graph_fingerprint: ds.graph.content_fingerprint(),
-        cache_stamp: ds.graph.sampling_stamp(),
-        data_lanes: lanes as u64,
-        phase,
-        ca_done,
-    }
+    best_params: Option<tensor::Params>,
+    te: Option<TextEnhancer>,
+    /// `Some(ca_done)` when the next round entry must skip the (already
+    /// completed) HGN minis and epilogue and continue the CA loop mid-way.
+    entering_ca: Option<usize>,
+    /// Consecutive-failure counters; both reset on any landed step.
+    skips_in_row: usize,
+    rolls_in_row: usize,
 }
 
-/// Where a restored snapshot re-enters the round: `Some(ca_done)` when it
-/// was captured inside the CA refinement loop (the HGN minis and epilogue
-/// of that round are already complete), `None` for an HGN-phase snapshot.
-fn resume_point(state: &TrainState) -> Option<usize> {
-    (state.phase == 1).then_some(state.ca_done as usize)
-}
+impl Run {
+    /// Captures the full training state at `phase`.
+    fn capture(&self, model: &CateHgn, ds: &dblp_sim::Dataset, phase: Phase) -> TrainState {
+        let (phase, ca_done) = match phase {
+            Phase::Hgn => (0, 0),
+            Phase::Ca { done } => (1, done as u64),
+        };
+        TrainState {
+            config_json: self.cfg_json.clone(),
+            outer: self.cur_outer as u64,
+            mini: self.cur_mini as u64,
+            tot: self.tot,
+            sup_tot: self.sup_tot,
+            best_val: self.best_val,
+            opt_lr: self.opt.lr(),
+            opt_steps: self.opt.steps(),
+            ca_lr: self.ca_opt.lr(),
+            ca_steps: self.ca_opt.steps(),
+            rng_words: self.rng.state_words(),
+            params: snapshot_params(&model.params),
+            best_params: self.best_params.as_ref().map(snapshot_values),
+            te_term_sets: self.te.as_ref().map(|te| {
+                te.term_sets
+                    .iter()
+                    .map(|s| s.iter().map(|t| t.0).collect())
+                    .collect()
+            }),
+            report: self.report.clone(),
+            graph_fingerprint: ds.graph.content_fingerprint(),
+            cache_stamp: ds.graph.sampling_stamp(),
+            data_lanes: self.lanes as u64,
+            phase,
+            ca_done,
+        }
+    }
 
-/// Restores a captured state into the live loop. Returns the partial-round
-/// loss accumulators `(tot, sup_tot)`; the caller takes the resume position
-/// from `state` itself.
-#[allow(clippy::too_many_arguments)]
-fn apply_snapshot(
-    state: &TrainState,
-    cfg: &ModelConfig,
-    model: &mut CateHgn,
-    ds: &mut dblp_sim::Dataset,
-    te: &mut Option<TextEnhancer>,
-    opt: &mut Optimizer,
-    ca_opt: &mut Optimizer,
-    rng: &mut ChaCha8Rng,
-    report: &mut TrainReport,
-    best_val: &mut f32,
-    best_params: &mut Option<tensor::Params>,
-) -> Result<(f32, f32), TrainError> {
-    restore_params(&mut model.params, &state.params)?;
-    // The snapshot carries the best model's *values* only; the moments in
-    // this reconstructed store are the live optimizer's and are never
-    // read — model selection installs values, not optimizer state.
-    *best_params = match &state.best_params {
-        Some(snaps) => {
-            let mut p = model.params.clone();
-            restore_values(&mut p, snaps)?;
-            Some(p)
+    /// Restores a captured state into the live loop, position included: a
+    /// CA-phase snapshot (the HGN minis and epilogue of its round already
+    /// complete) re-enters the CA loop at its `ca_done`.
+    fn restore(
+        &mut self,
+        state: &TrainState,
+        model: &mut CateHgn,
+        ds: &mut dblp_sim::Dataset,
+    ) -> Result<(), TrainError> {
+        restore_params(&mut model.params, &state.params)?;
+        // The snapshot carries the best model's *values* only; the moments in
+        // this reconstructed store are the live optimizer's and are never
+        // read — model selection installs values, not optimizer state.
+        self.best_params = match &state.best_params {
+            Some(snaps) => {
+                let mut p = model.params.clone();
+                restore_values(&mut p, snaps)?;
+                Some(p)
+            }
+            None => None,
+        };
+        self.opt.set_lr(state.opt_lr);
+        self.opt.set_steps(state.opt_steps);
+        self.ca_opt.set_lr(state.ca_lr);
+        self.ca_opt.set_steps(state.ca_steps);
+        self.rng = ChaCha8Rng::from_state_words(&state.rng_words);
+        self.report = state.report.clone();
+        self.best_val = state.best_val;
+        match (self.te.as_mut(), &state.te_term_sets) {
+            (Some(te), Some(sets)) => {
+                te.term_sets = sets
+                    .iter()
+                    .map(|s| s.iter().map(|&x| textmine::TokenId(x)).collect())
+                    .collect();
+                // Replaying the persisted term sets through relink reproduces
+                // the snapshot-time paper-term links on the freshly built graph.
+                te.relink(ds, self.cfg.ablation.te_tfidf);
+            }
+            (None, None) => {}
+            (Some(_), None) => {
+                return Err(CheckpointError::Mismatch(
+                    "snapshot has no TE state but TE is enabled".into(),
+                )
+                .into());
+            }
+            (None, Some(_)) => {
+                return Err(CheckpointError::Mismatch(
+                    "snapshot carries TE state but TE is disabled".into(),
+                )
+                .into());
+            }
         }
-        None => None,
-    };
-    opt.set_lr(state.opt_lr);
-    opt.set_steps(state.opt_steps);
-    ca_opt.set_lr(state.ca_lr);
-    ca_opt.set_steps(state.ca_steps);
-    *rng = ChaCha8Rng::from_state_words(&state.rng_words);
-    *report = state.report.clone();
-    *best_val = state.best_val;
-    match (te.as_mut(), &state.te_term_sets) {
-        (Some(te), Some(sets)) => {
-            te.term_sets = sets
-                .iter()
-                .map(|s| s.iter().map(|&x| textmine::TokenId(x)).collect())
-                .collect();
-            // Replaying the persisted term sets through relink reproduces
-            // the snapshot-time paper-term links on the freshly built graph.
-            te.relink(ds, cfg.ablation.te_tfidf);
-        }
-        (None, None) => {}
-        (Some(_), None) => {
-            return Err(CheckpointError::Mismatch(
-                "snapshot has no TE state but TE is enabled".into(),
-            )
+        let fp = ds.graph.content_fingerprint();
+        if fp != state.graph_fingerprint {
+            return Err(CheckpointError::Mismatch(format!(
+                "graph content fingerprint {fp:#018x} != snapshot {:#018x}",
+                state.graph_fingerprint
+            ))
             .into());
         }
-        (None, Some(_)) => {
-            return Err(CheckpointError::Mismatch(
-                "snapshot carries TE state but TE is disabled".into(),
-            )
-            .into());
+        self.tot = state.tot;
+        self.sup_tot = state.sup_tot;
+        self.cur_outer = state.outer as usize;
+        self.cur_mini = state.mini as usize;
+        self.entering_ca = (state.phase == 1).then_some(state.ca_done as usize);
+        Ok(())
+    }
+
+    /// Tail of a step that landed `stride` positions past the previous
+    /// one: saves a checkpoint when one is due or the run is halting, and
+    /// returns whether it is halting (the snapshot just saved is then the
+    /// resume point).
+    fn landed(
+        &mut self,
+        model: &CateHgn,
+        ds: &dblp_sim::Dataset,
+        opts: &mut TrainOptions,
+        phase: Phase,
+        stride: usize,
+    ) -> Result<bool, TrainError> {
+        self.skips_in_row = 0;
+        self.rolls_in_row = 0;
+        let (pos, halt_after) = match phase {
+            Phase::Hgn => (
+                self.cur_outer * self.cfg.mini_iters + self.cur_mini,
+                opts.halt_after_steps,
+            ),
+            Phase::Ca { done } => (
+                self.cur_outer * self.cfg.ca_iters + done,
+                opts.halt_after_ca,
+            ),
+        };
+        let (pos, prev) = (pos as u64, (pos - stride) as u64);
+        // "Crossed a multiple of n": `pos % n == 0` for single steps, and
+        // on group-sized lane strides it lands checkpoints on group
+        // boundaries, so resume always restarts on the same lane schedule.
+        let due = opts
+            .checkpoint_every
+            .is_some_and(|n| n > 0 && pos / n as u64 > prev / n as u64);
+        let halting = halt_after.is_some_and(|n| pos >= n)
+            || opts.shutdown.as_ref().is_some_and(|t| t.requested());
+        if due || halting {
+            let state = self.capture(model, ds, phase);
+            self.manager.save(&state, &mut opts.faults)?;
         }
+        Ok(halting)
     }
-    let fp = ds.graph.content_fingerprint();
-    if fp != state.graph_fingerprint {
-        return Err(CheckpointError::Mismatch(format!(
-            "graph content fingerprint {fp:#018x} != snapshot {:#018x}",
-            state.graph_fingerprint
-        ))
-        .into());
+
+    /// Tail of a non-finite step, before any parameter or optimizer state
+    /// moved: applies the recovery policy. On Skip the caller redraws (HGN)
+    /// or consumes (CA) the slot; on Rollback the loop state is back at the
+    /// last snapshot and the caller re-enters the round loop.
+    fn failed(
+        &mut self,
+        model: &mut CateHgn,
+        ds: &mut dblp_sim::Dataset,
+        opts: &TrainOptions,
+        phase: Phase,
+        source: NonFiniteSource,
+    ) -> Result<Recovery, TrainError> {
+        self.skips_in_row += 1;
+        self.rolls_in_row += 1;
+        let step = match phase {
+            Phase::Hgn => self.cur_mini,
+            Phase::Ca { done } => done,
+        };
+        let action = decide(
+            opts.policy,
+            self.skips_in_row,
+            self.rolls_in_row,
+            &source,
+            self.cur_outer,
+            step,
+        )?;
+        match action {
+            Recovery::Skip => self.report.skipped += 1,
+            Recovery::Rollback => {
+                let state = self.manager.last_state()?;
+                self.restore(&state, model, ds)?;
+                self.report.rollbacks += 1;
+                if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
+                    // Backoff compounds over consecutive retries of the
+                    // same snapshot.
+                    let scale = lr_backoff.powi(self.rolls_in_row as i32);
+                    self.opt.set_lr(state.opt_lr * scale);
+                    self.ca_opt.set_lr(state.ca_lr * scale);
+                }
+            }
+        }
+        Ok(action)
     }
-    Ok((state.tot, state.sup_tot))
 }
 
 /// [`train`] with checkpoint/resume, non-finite recovery, and fault
@@ -324,31 +382,36 @@ pub fn train_with(
     let cfg_json = serde_json::to_string(&cfg)
         .map_err(|e| CheckpointError::Corrupt(format!("model config serialization: {e}")))
         .map_err(TrainError::Checkpoint)?;
-    let mut manager = CheckpointManager::new(opts.checkpoint_path.clone());
     // Normalized lane count: 0 and 1 both mean the serial historical loop.
     let lanes = opts.data_lanes.max(1);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x7EA1));
-    let mut report = TrainReport::default();
-    let mut opt = Optimizer::adam(cfg.lr);
-    let mut ca_opt = Optimizer::adam(cfg.lr);
+    let mut run = Run {
+        cfg: cfg.clone(),
+        cfg_json,
+        lanes,
+        manager: CheckpointManager::new(opts.checkpoint_path.clone()),
+        cur_outer: 0,
+        cur_mini: 0,
+        tot: 0.0,
+        sup_tot: 0.0,
+        opt: Optimizer::adam(cfg.lr),
+        ca_opt: Optimizer::adam(cfg.lr),
+        rng: ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x7EA1)),
+        report: TrainReport::default(),
+        best_val: f32::INFINITY,
+        best_params: None,
+        te: None,
+        entering_ca: None,
+        skips_in_row: 0,
+        rolls_in_row: 0,
+    };
     let center_ids: BTreeSet<tensor::ParamId> = model.ca.centers.iter().copied().collect();
 
     let train_idx = ds.split.train.clone();
     assert!(!train_idx.is_empty(), "empty training split");
 
-    let mut te: Option<TextEnhancer>;
-    let mut best_val = f32::INFINITY;
-    let mut best_params: Option<tensor::Params> = None;
-    let (mut cur_outer, mut cur_mini): (usize, usize);
-    let (mut tot, mut sup_tot): (f32, f32);
-    // `Some(ca_done)` when the next round entry must skip the (already
-    // completed) HGN minis and epilogue and continue the CA loop mid-way.
-    let mut entering_ca: Option<usize> = None;
-
     if opts.resume {
-        let state = manager.load_latest()?;
-        if state.config_json != cfg_json {
+        let state = run.manager.load_latest()?;
+        if state.config_json != run.cfg_json {
             return Err(CheckpointError::Mismatch(
                 "checkpoint was produced by a different model config".into(),
             )
@@ -365,32 +428,15 @@ pub fn train_with(
         }
         // The enhancer itself is a pure deterministic function of the
         // dataset and config; only its mined term sets evolve, and those
-        // come back from the snapshot inside `apply_snapshot`.
-        te = cfg
+        // come back from the snapshot inside `restore`.
+        run.te = cfg
             .ablation
             .te
             .then(|| TextEnhancer::new(ds, cfg.n_clusters, cfg.dim.max(16), cfg.seed));
-        let (t, s) = apply_snapshot(
-            &state,
-            &cfg,
-            model,
-            ds,
-            &mut te,
-            &mut opt,
-            &mut ca_opt,
-            &mut rng,
-            &mut report,
-            &mut best_val,
-            &mut best_params,
-        )?;
-        tot = t;
-        sup_tot = s;
-        cur_outer = state.outer as usize;
-        cur_mini = state.mini as usize;
-        entering_ca = resume_point(&state);
+        run.restore(&state, model, ds)?;
     } else {
         // ---- TE initialisation (Algorithm 1, line 1) ------------------
-        te = if cfg.ablation.te {
+        if cfg.ablation.te {
             let mut te = TextEnhancer::new(ds, cfg.n_clusters, cfg.dim.max(16), cfg.seed);
             if cfg.ablation.te_init {
                 te.bootstrap(cfg.kappa);
@@ -398,11 +444,9 @@ pub fn train_with(
                 te.bootstrap_from_keywords(ds);
             }
             te.relink(ds, cfg.ablation.te_tfidf);
-            report.te_rounds.push(snapshot(0, &te, ds));
-            Some(te)
-        } else {
-            None
-        };
+            run.report.te_rounds.push(snapshot(0, &te, ds));
+            run.te = Some(te);
+        }
 
         // Term-enhanced cluster-center initialisation (Sec. III-E1):
         // centers start at the mean embedding of each bootstrapped term
@@ -410,7 +454,7 @@ pub fn train_with(
         // embeddings (k-means++-style spread) after the first warm-up
         // round, once the embeddings carry signal.
         if cfg.ablation.ca {
-            if let Some(te) = &te {
+            if let Some(te) = &run.te {
                 init_centers_from_terms(model, ds, te);
             }
         }
@@ -436,38 +480,19 @@ pub fn train_with(
         if !ds.split.val.is_empty() {
             let seeds = ds.paper_nodes_of(&ds.split.val);
             let preds = model.predict(&ds.graph, &ds.features, &seeds, 0xE7A1);
-            best_val = rmse(&preds, &ds.labels_of(&ds.split.val));
-            best_params = Some(model.params.clone());
+            run.best_val = rmse(&preds, &ds.labels_of(&ds.split.val));
+            run.best_params = Some(model.params.clone());
         }
-
-        cur_outer = 0;
-        cur_mini = 0;
-        tot = 0.0;
-        sup_tot = 0.0;
     }
 
     // Rollback needs a restore target even before the first periodic
     // checkpoint: capture a run-entry baseline (memory only).
-    if matches!(opts.policy, RecoveryPolicy::Rollback { .. }) && !manager.has_snapshot() {
-        manager.set_baseline(&capture_state(
-            &cfg_json,
-            cur_outer,
-            cur_mini,
-            tot,
-            sup_tot,
-            model,
-            &opt,
-            &ca_opt,
-            &rng,
-            best_val,
-            &best_params,
-            &te,
-            &report,
-            ds,
-            lanes,
-            if entering_ca.is_some() { 1 } else { 0 },
-            entering_ca.unwrap_or(0) as u64,
-        ));
+    if matches!(opts.policy, RecoveryPolicy::Rollback { .. }) && !run.manager.has_snapshot() {
+        let phase = run
+            .entering_ca
+            .map_or(Phase::Hgn, |done| Phase::Ca { done });
+        let state = run.capture(model, ds, phase);
+        run.manager.set_baseline(&state);
     }
 
     // One long-lived tape for the whole run: reset between batches recycles
@@ -481,17 +506,14 @@ pub fn train_with(
     } else {
         Vec::new()
     };
-    // Consecutive-failure counters; both reset on any successful step.
-    let mut skips_in_row = 0usize;
-    let mut rolls_in_row = 0usize;
 
-    'outer_loop: while cur_outer < cfg.outer_iters {
+    'outer_loop: while run.cur_outer < cfg.outer_iters {
         // A CA-phase snapshot re-enters here with `cur_mini` already at
         // `mini_iters` (skipping the HGN loop below) and the round's
         // epilogue guarded off; the CA loop then starts at `ca_done`.
-        let resume_ca_at = entering_ca.take();
+        let resume_ca_at = run.entering_ca.take();
         // ---- HGN mini-iterations (lines 3-9) --------------------------
-        while cur_mini < cfg.mini_iters {
+        while run.cur_mini < cfg.mini_iters {
             if lanes > 1 {
                 // ---- Batch-parallel group (ROADMAP item 2) ------------
                 // `group` independent batches share one optimizer step:
@@ -500,22 +522,23 @@ pub fn train_with(
                 // of the lane schedule, never of the thread count), the
                 // lanes evaluate concurrently on the tensor worker pool,
                 // and their gradients fold back in fixed lane order.
-                let group = lanes.min(cfg.mini_iters - cur_mini);
+                let group = lanes.min(cfg.mini_iters - run.cur_mini);
                 // `group <= lanes == lane_states.len()` by construction.
                 let (lane_group, _) = lane_states.split_at_mut(group);
                 for (k, lane) in lane_group.iter_mut().enumerate() {
-                    let step = (cur_outer * cfg.mini_iters + cur_mini + k) as u64;
+                    let step = (run.cur_outer * cfg.mini_iters + run.cur_mini + k) as u64;
                     let batch: Vec<usize> = (0..cfg.batch_size)
-                        .map(|_| train_idx[rng.gen_range(0..train_idx.len())])
+                        .map(|_| train_idx[run.rng.gen_range(0..train_idx.len())])
                         .collect();
                     let seeds = ds.paper_nodes_of(&batch);
                     let mut labels = Tensor::col_vec(ds.labels_of(&batch));
                     opts.faults.poison_batch(step, labels.as_mut_slice());
-                    let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
+                    let blocks =
+                        sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut run.rng);
                     lane.labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
                     lane.blocks = blocks;
                     lane.step = step;
-                    lane.rng = ChaCha8Rng::seed_from_u64(rng.gen());
+                    lane.rng = ChaCha8Rng::seed_from_u64(run.rng.gen());
                 }
                 // Each lane touches only its own tape, and every kernel
                 // inside a lane runs serially (pool jobs carry the nested
@@ -577,7 +600,7 @@ pub fn train_with(
                                 (pid, sum)
                             })
                             .collect();
-                        match opt.step_grads_clipped_guarded(
+                        match run.opt.step_grads_clipped_guarded(
                             &mut model.params,
                             grads,
                             Some(cfg.clip),
@@ -594,301 +617,42 @@ pub fn train_with(
                     // Account lane losses in lane order — the same f32
                     // accumulation a serial walk of the group would do.
                     for lane in lane_group.iter() {
-                        tot += lane.loss_val;
-                        sup_tot += lane.sup;
+                        run.tot += lane.loss_val;
+                        run.sup_tot += lane.sup;
                     }
-                    skips_in_row = 0;
-                    rolls_in_row = 0;
-                    cur_mini += group;
-
-                    let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                    let prev = pos - group as u64;
-                    // "Crossed a multiple of n" generalizes the serial
-                    // is_multiple_of check to group-sized strides, so
-                    // checkpoints land on group boundaries and resume
-                    // always restarts on the same lane schedule.
-                    let due = opts
-                        .checkpoint_every
-                        .is_some_and(|n| n > 0 && pos / n as u64 > prev / n as u64);
-                    let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                    if due || halting {
-                        let state = capture_state(
-                            &cfg_json,
-                            cur_outer,
-                            cur_mini,
-                            tot,
-                            sup_tot,
-                            model,
-                            &opt,
-                            &ca_opt,
-                            &rng,
-                            best_val,
-                            &best_params,
-                            &te,
-                            &report,
-                            ds,
-                            lanes,
-                            0,
-                            0,
-                        );
-                        manager.save(&state, &mut opts.faults)?;
-                    }
-                    if halting {
-                        return Ok(report);
+                    run.cur_mini += group;
+                    if run.landed(model, ds, opts, Phase::Hgn, group)? {
+                        return Ok(run.report);
                     }
                     continue;
                 };
-
                 // A bad lane abandons the whole group before any state
                 // moved (parameters, moments, and the Adam counter are
                 // untouched): Skip redraws the group, Rollback behaves
                 // exactly as in the serial loop.
-                skips_in_row += 1;
-                rolls_in_row += 1;
-                match decide(
-                    opts.policy,
-                    skips_in_row,
-                    rolls_in_row,
-                    &source,
-                    cur_outer,
-                    cur_mini,
-                )? {
-                    Recovery::Skip => {
-                        report.skipped += 1;
-                    }
-                    Recovery::Rollback => {
-                        let state = manager.last_state()?;
-                        let (t, s) = apply_snapshot(
-                            &state,
-                            &cfg,
-                            model,
-                            ds,
-                            &mut te,
-                            &mut opt,
-                            &mut ca_opt,
-                            &mut rng,
-                            &mut report,
-                            &mut best_val,
-                            &mut best_params,
-                        )?;
-                        tot = t;
-                        sup_tot = s;
-                        cur_outer = state.outer as usize;
-                        cur_mini = state.mini as usize;
-                        entering_ca = resume_point(&state);
-                        report.rollbacks += 1;
-                        if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                            let scale = lr_backoff.powi(rolls_in_row as i32);
-                            opt.set_lr(state.opt_lr * scale);
-                            ca_opt.set_lr(state.ca_lr * scale);
-                        }
-                        continue 'outer_loop;
-                    }
+                if matches!(
+                    run.failed(model, ds, opts, Phase::Hgn, source)?,
+                    Recovery::Rollback
+                ) {
+                    continue 'outer_loop;
                 }
                 continue;
             }
-            if opts.prefetch > 1 {
-                // ---- Prefetched pipeline segment (ROADMAP item 3) -----
-                // A producer thread draws batches, samples blocks, and
-                // pre-draws the MI plan up to `prefetch` steps ahead; the
-                // consumer (this thread) runs forward/backward/step. The
-                // producer clones the main RNG, consumes from it in the
-                // exact serial order (batch, blocks, plan), and ships the
-                // post-step state with each payload; the consumer adopts
-                // the last consumed state on exit, so the whole segment
-                // is bitwise-identical to the serial loop below at any
-                // prefetch depth and thread count.
-                let ds_ref: &dblp_sim::Dataset = ds;
-                let train_ref: &[usize] = &train_idx;
-                let mut prng = rng.clone();
-                let (start_mini, outer_now) = (cur_mini, cur_outer);
-                let (mini_iters, layers_n, fanout) = (cfg.mini_iters, cfg.layers, cfg.fanout);
-                let (batch_size, mi_on, mi_max_edges) =
-                    (cfg.batch_size, cfg.ablation.mi, cfg.mi_max_edges);
-                let producer = move |tx: &tensor::par::PipeSender<'_, StepPayload>| {
-                    for mini in start_mini..mini_iters {
-                        let step = (outer_now * mini_iters + mini) as u64;
-                        let batch: Vec<usize> = (0..batch_size)
-                            .map(|_| train_ref[prng.gen_range(0..train_ref.len())])
-                            .collect();
-                        let seeds = ds_ref.paper_nodes_of(&batch);
-                        let labels = ds_ref.labels_of(&batch);
-                        let blocks =
-                            sample_blocks(&ds_ref.graph, &seeds, layers_n, fanout, &mut prng);
-                        let plan = plan_mi(&blocks, mi_on, mi_max_edges, &mut prng);
-                        let payload = StepPayload {
-                            step,
-                            seeds,
-                            labels,
-                            blocks,
-                            plan,
-                            rng_words: prng.state_words(),
-                        };
-                        if !tx.send(payload) {
-                            return; // consumer stopped the segment early
-                        }
-                    }
-                };
-                // RNG state after the last *consumed* step; the states of
-                // prefetched-but-unconsumed steps are discarded with them.
-                let mut end_words: Option<[u32; 27]> = None;
-                let seg: Result<Segment, TrainError> =
-                    tensor::par::run_with_producer(opts.prefetch, producer, |rx| {
-                        while cur_mini < cfg.mini_iters {
-                            let Some(p) = rx.recv() else {
-                                return Ok(Segment::Done);
-                            };
-                            let mut labels = Tensor::col_vec(p.labels);
-                            opts.faults.poison_batch(p.step, labels.as_mut_slice());
-                            let labels = dedup_labels(&p.seeds, &p.blocks[0].dst_nodes, &labels);
-                            g.reset();
-                            let fw = model.forward(
-                                &mut g,
-                                &ds_ref.graph,
-                                &ds_ref.features,
-                                &p.blocks,
-                                false,
-                            );
-                            let (loss, sup, _mi) =
-                                model.hgn_loss_planned(&mut g, &fw, &p.blocks, &labels, &p.plan);
-                            let loss_val = g.value(loss).as_slice()[0];
-                            let failure: Option<NonFiniteSource> = if !loss_val.is_finite() {
-                                Some(NonFiniteSource::Loss)
-                            } else {
-                                g.backward(loss);
-                                opts.faults.corrupt_gradients(p.step, &mut g);
-                                match opt.step_clipped_guarded(
-                                    &mut model.params,
-                                    &mut g,
-                                    Some(cfg.clip),
-                                ) {
-                                    Ok(_norm) => None,
-                                    Err(pid) => Some(NonFiniteSource::Gradient {
-                                        param: model.params.name(pid).to_string(),
-                                    }),
-                                }
-                            };
-                            end_words = Some(p.rng_words);
-                            let Some(source) = failure else {
-                                tot += loss_val;
-                                sup_tot += sup;
-                                skips_in_row = 0;
-                                rolls_in_row = 0;
-                                cur_mini += 1;
-                                let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                                let due = opts
-                                    .checkpoint_every
-                                    .is_some_and(|n| n > 0 && pos.is_multiple_of(n as u64));
-                                let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                                    || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                                if due || halting {
-                                    let rng_now = ChaCha8Rng::from_state_words(&p.rng_words);
-                                    let state = capture_state(
-                                        &cfg_json,
-                                        cur_outer,
-                                        cur_mini,
-                                        tot,
-                                        sup_tot,
-                                        model,
-                                        &opt,
-                                        &ca_opt,
-                                        &rng_now,
-                                        best_val,
-                                        &best_params,
-                                        &te,
-                                        &report,
-                                        ds_ref,
-                                        lanes,
-                                        0,
-                                        0,
-                                    );
-                                    manager.save(&state, &mut opts.faults)?;
-                                }
-                                if halting {
-                                    rx.stop();
-                                    return Ok(Segment::Halt);
-                                }
-                                continue;
-                            };
-                            rx.stop();
-                            return Ok(Segment::Failed(source));
-                        }
-                        Ok(Segment::Done)
-                    });
-                if let Some(w) = end_words {
-                    rng = ChaCha8Rng::from_state_words(&w);
-                }
-                match seg? {
-                    Segment::Done => continue,
-                    Segment::Halt => return Ok(report),
-                    Segment::SaveFailed(e) => return Err(e.into()),
-                    Segment::Failed(source) => {
-                        skips_in_row += 1;
-                        rolls_in_row += 1;
-                        match decide(
-                            opts.policy,
-                            skips_in_row,
-                            rolls_in_row,
-                            &source,
-                            cur_outer,
-                            cur_mini,
-                        )? {
-                            Recovery::Skip => {
-                                // The RNG already advanced past the bad
-                                // draws; re-enter the pipeline on the
-                                // same mini slot, exactly like the
-                                // serial redraw.
-                                report.skipped += 1;
-                                continue;
-                            }
-                            Recovery::Rollback => {
-                                let state = manager.last_state()?;
-                                let (t, s) = apply_snapshot(
-                                    &state,
-                                    &cfg,
-                                    model,
-                                    ds,
-                                    &mut te,
-                                    &mut opt,
-                                    &mut ca_opt,
-                                    &mut rng,
-                                    &mut report,
-                                    &mut best_val,
-                                    &mut best_params,
-                                )?;
-                                tot = t;
-                                sup_tot = s;
-                                cur_outer = state.outer as usize;
-                                cur_mini = state.mini as usize;
-                                entering_ca = resume_point(&state);
-                                report.rollbacks += 1;
-                                if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                                    let scale = lr_backoff.powi(rolls_in_row as i32);
-                                    opt.set_lr(state.opt_lr * scale);
-                                    ca_opt.set_lr(state.ca_lr * scale);
-                                }
-                                continue 'outer_loop;
-                            }
-                        }
-                    }
-                }
-            }
             // Global step position; stable across resume and rollback
             // replays, which is what makes fault injection deterministic.
-            let step = (cur_outer * cfg.mini_iters + cur_mini) as u64;
+            let step = (run.cur_outer * cfg.mini_iters + run.cur_mini) as u64;
             let batch: Vec<usize> = (0..cfg.batch_size)
-                .map(|_| train_idx[rng.gen_range(0..train_idx.len())])
+                .map(|_| train_idx[run.rng.gen_range(0..train_idx.len())])
                 .collect();
             let seeds = ds.paper_nodes_of(&batch);
             let mut labels = Tensor::col_vec(ds.labels_of(&batch));
             opts.faults.poison_batch(step, labels.as_mut_slice());
-            let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut rng);
+            let blocks = sample_blocks(&ds.graph, &seeds, cfg.layers, cfg.fanout, &mut run.rng);
             // Seed dedup can shrink the frontier prefix; relabel to match.
             let labels = dedup_labels(&seeds, &blocks[0].dst_nodes, &labels);
             g.reset();
             let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, false);
-            let (loss, sup, _mi) = model.hgn_loss(&mut g, &fw, &blocks, &labels, &mut rng);
+            let (loss, sup, _mi) = model.hgn_loss(&mut g, &fw, &blocks, &labels, &mut run.rng);
             let loss_val = g.value(loss).as_slice()[0];
 
             let failure: Option<NonFiniteSource> = if !loss_val.is_finite() {
@@ -896,7 +660,10 @@ pub fn train_with(
             } else {
                 g.backward(loss);
                 opts.faults.corrupt_gradients(step, &mut g);
-                match opt.step_clipped_guarded(&mut model.params, &mut g, Some(cfg.clip)) {
+                match run
+                    .opt
+                    .step_clipped_guarded(&mut model.params, &mut g, Some(cfg.clip))
+                {
                     Ok(_norm) => None,
                     Err(pid) => Some(NonFiniteSource::Gradient {
                         param: model.params.name(pid).to_string(),
@@ -907,105 +674,34 @@ pub fn train_with(
             let Some(source) = failure else {
                 // The step landed: account it exactly as the historical
                 // loop did (same values, same f32 accumulation order).
-                tot += loss_val;
-                sup_tot += sup;
-                skips_in_row = 0;
-                rolls_in_row = 0;
-                cur_mini += 1;
-
-                let pos = (cur_outer * cfg.mini_iters + cur_mini) as u64;
-                let due = opts
-                    .checkpoint_every
-                    .is_some_and(|n| n > 0 && pos.is_multiple_of(n as u64));
-                let halting = opts.halt_after_steps.is_some_and(|n| pos >= n)
-                    || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                if due || halting {
-                    let state = capture_state(
-                        &cfg_json,
-                        cur_outer,
-                        cur_mini,
-                        tot,
-                        sup_tot,
-                        model,
-                        &opt,
-                        &ca_opt,
-                        &rng,
-                        best_val,
-                        &best_params,
-                        &te,
-                        &report,
-                        ds,
-                        lanes,
-                        0,
-                        0,
-                    );
-                    manager.save(&state, &mut opts.faults)?;
-                }
-                if halting {
-                    // Simulated kill: the snapshot above is the resume
-                    // point; return the partial trace.
-                    return Ok(report);
+                run.tot += loss_val;
+                run.sup_tot += sup;
+                run.cur_mini += 1;
+                if run.landed(model, ds, opts, Phase::Hgn, 1)? {
+                    return Ok(run.report);
                 }
                 continue;
             };
-
-            skips_in_row += 1;
-            rolls_in_row += 1;
-            match decide(
-                opts.policy,
-                skips_in_row,
-                rolls_in_row,
-                &source,
-                cur_outer,
-                cur_mini,
-            )? {
-                Recovery::Skip => {
-                    // Drop the poisoned batch and redraw the same mini
-                    // slot; the RNG has advanced past the bad draws, and
-                    // no parameter or optimizer state was touched.
-                    report.skipped += 1;
-                }
-                Recovery::Rollback => {
-                    let state = manager.last_state()?;
-                    let (t, s) = apply_snapshot(
-                        &state,
-                        &cfg,
-                        model,
-                        ds,
-                        &mut te,
-                        &mut opt,
-                        &mut ca_opt,
-                        &mut rng,
-                        &mut report,
-                        &mut best_val,
-                        &mut best_params,
-                    )?;
-                    tot = t;
-                    sup_tot = s;
-                    cur_outer = state.outer as usize;
-                    cur_mini = state.mini as usize;
-                    entering_ca = resume_point(&state);
-                    report.rollbacks += 1;
-                    if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                        // Backoff compounds over consecutive retries of
-                        // the same snapshot.
-                        let scale = lr_backoff.powi(rolls_in_row as i32);
-                        opt.set_lr(state.opt_lr * scale);
-                        ca_opt.set_lr(state.ca_lr * scale);
-                    }
-                    continue 'outer_loop;
-                }
+            // Skip drops the poisoned batch and redraws the same mini slot;
+            // the RNG has advanced past the bad draws.
+            if matches!(
+                run.failed(model, ds, opts, Phase::Hgn, source)?,
+                Recovery::Rollback
+            ) {
+                continue 'outer_loop;
             }
         }
         if resume_ca_at.is_none() {
-            report.hgn_losses.push(tot / cfg.mini_iters as f32);
-            report.sup_losses.push(sup_tot / cfg.mini_iters as f32);
+            run.report.hgn_losses.push(run.tot / cfg.mini_iters as f32);
+            run.report
+                .sup_losses
+                .push(run.sup_tot / cfg.mini_iters as f32);
 
             // Warm-start the cluster centers from real node embeddings once
             // the trunk has seen one round of supervision (CA without TE
             // only).
-            if cur_outer == 0 && cfg.ablation.ca && te.is_none() {
-                init_centers_from_nodes(model, ds, &mut rng);
+            if run.cur_outer == 0 && cfg.ablation.ca && run.te.is_none() {
+                init_centers_from_nodes(model, ds, &mut run.rng);
             }
         }
 
@@ -1014,177 +710,10 @@ pub fn train_with(
             let all_nodes: Vec<NodeId> = (0..ds.graph.num_nodes() as u32).map(NodeId).collect();
             let mut ca_i = resume_ca_at.unwrap_or(0);
             while ca_i < cfg.ca_iters {
-                if opts.prefetch > 1 && lanes == 1 {
-                    // ---- Prefetched CA segment: same producer/consumer
-                    // contract as the HGN segment above; the CA loss
-                    // draws no per-step RNG beyond batch + blocks.
-                    let ds_ref: &dblp_sim::Dataset = ds;
-                    let nodes_ref: &[NodeId] = &all_nodes;
-                    let mut prng = rng.clone();
-                    let (start_i, ca_iters) = (ca_i, cfg.ca_iters);
-                    let (layers_n, fanout, batch_size) = (cfg.layers, cfg.fanout, cfg.batch_size);
-                    let producer = move |tx: &tensor::par::PipeSender<'_, CaPayload>| {
-                        for _ in start_i..ca_iters {
-                            let batch: Vec<NodeId> = (0..batch_size)
-                                .map(|_| nodes_ref[prng.gen_range(0..nodes_ref.len())])
-                                .collect();
-                            let blocks =
-                                sample_blocks(&ds_ref.graph, &batch, layers_n, fanout, &mut prng);
-                            let payload = CaPayload {
-                                blocks,
-                                rng_words: prng.state_words(),
-                            };
-                            if !tx.send(payload) {
-                                return;
-                            }
-                        }
-                    };
-                    let mut end_words: Option<[u32; 27]> = None;
-                    let seg: Segment =
-                        tensor::par::run_with_producer(opts.prefetch, producer, |rx| {
-                            while ca_i < cfg.ca_iters {
-                                let Some(p) = rx.recv() else {
-                                    return Segment::Done;
-                                };
-                                g.reset();
-                                let fw = model.forward(
-                                    &mut g,
-                                    &ds_ref.graph,
-                                    &ds_ref.features,
-                                    &p.blocks,
-                                    true,
-                                );
-                                let failure: Option<NonFiniteSource> =
-                                    if let Some(loss) = model.ca_loss(&mut g, &fw) {
-                                        if !g.value(loss).as_slice()[0].is_finite() {
-                                            Some(NonFiniteSource::Loss)
-                                        } else {
-                                            g.backward(loss);
-                                            match ca_opt.step_filtered_guarded(
-                                                &mut model.params,
-                                                &mut g,
-                                                Some(cfg.clip),
-                                                &center_ids,
-                                            ) {
-                                                Ok(_) => None,
-                                                Err(pid) => Some(NonFiniteSource::Gradient {
-                                                    param: model.params.name(pid).to_string(),
-                                                }),
-                                            }
-                                        }
-                                    } else {
-                                        None
-                                    };
-                                end_words = Some(p.rng_words);
-                                let Some(source) = failure else {
-                                    skips_in_row = 0;
-                                    rolls_in_row = 0;
-                                    ca_i += 1;
-                                    let ca_pos = (cur_outer * cfg.ca_iters + ca_i) as u64;
-                                    let due = opts
-                                        .checkpoint_every
-                                        .is_some_and(|n| n > 0 && ca_pos.is_multiple_of(n as u64));
-                                    let halting = opts.halt_after_ca.is_some_and(|n| ca_pos >= n)
-                                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                                    if due || halting {
-                                        let rng_now = ChaCha8Rng::from_state_words(&p.rng_words);
-                                        let state = capture_state(
-                                            &cfg_json,
-                                            cur_outer,
-                                            cur_mini,
-                                            tot,
-                                            sup_tot,
-                                            model,
-                                            &opt,
-                                            &ca_opt,
-                                            &rng_now,
-                                            best_val,
-                                            &best_params,
-                                            &te,
-                                            &report,
-                                            ds_ref,
-                                            lanes,
-                                            1,
-                                            ca_i as u64,
-                                        );
-                                        if let Err(e) = manager.save(&state, &mut opts.faults) {
-                                            rx.stop();
-                                            return Segment::SaveFailed(e);
-                                        }
-                                    }
-                                    if halting {
-                                        rx.stop();
-                                        return Segment::Halt;
-                                    }
-                                    continue;
-                                };
-                                rx.stop();
-                                return Segment::Failed(source);
-                            }
-                            Segment::Done
-                        });
-                    if let Some(w) = end_words {
-                        rng = ChaCha8Rng::from_state_words(&w);
-                    }
-                    match seg {
-                        Segment::Done => continue,
-                        Segment::Halt => return Ok(report),
-                        Segment::SaveFailed(e) => return Err(e.into()),
-                        Segment::Failed(source) => {
-                            skips_in_row += 1;
-                            rolls_in_row += 1;
-                            match decide(
-                                opts.policy,
-                                skips_in_row,
-                                rolls_in_row,
-                                &source,
-                                cur_outer,
-                                ca_i,
-                            )? {
-                                Recovery::Skip => {
-                                    // As in the serial loop, a CA skip
-                                    // consumes the iteration.
-                                    report.skipped += 1;
-                                    ca_i += 1;
-                                    continue;
-                                }
-                                Recovery::Rollback => {
-                                    let state = manager.last_state()?;
-                                    let (t, s) = apply_snapshot(
-                                        &state,
-                                        &cfg,
-                                        model,
-                                        ds,
-                                        &mut te,
-                                        &mut opt,
-                                        &mut ca_opt,
-                                        &mut rng,
-                                        &mut report,
-                                        &mut best_val,
-                                        &mut best_params,
-                                    )?;
-                                    tot = t;
-                                    sup_tot = s;
-                                    cur_outer = state.outer as usize;
-                                    cur_mini = state.mini as usize;
-                                    entering_ca = resume_point(&state);
-                                    report.rollbacks += 1;
-                                    if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy
-                                    {
-                                        let scale = lr_backoff.powi(rolls_in_row as i32);
-                                        opt.set_lr(state.opt_lr * scale);
-                                        ca_opt.set_lr(state.ca_lr * scale);
-                                    }
-                                    continue 'outer_loop;
-                                }
-                            }
-                        }
-                    }
-                }
                 let batch: Vec<NodeId> = (0..cfg.batch_size)
-                    .map(|_| all_nodes[rng.gen_range(0..all_nodes.len())])
+                    .map(|_| all_nodes[run.rng.gen_range(0..all_nodes.len())])
                     .collect();
-                let blocks = sample_blocks(&ds.graph, &batch, cfg.layers, cfg.fanout, &mut rng);
+                let blocks = sample_blocks(&ds.graph, &batch, cfg.layers, cfg.fanout, &mut run.rng);
                 g.reset();
                 let fw = model.forward(&mut g, &ds.graph, &ds.features, &blocks, true);
                 let failure: Option<NonFiniteSource> =
@@ -1193,7 +722,7 @@ pub fn train_with(
                             Some(NonFiniteSource::Loss)
                         } else {
                             g.backward(loss);
-                            match ca_opt.step_filtered_guarded(
+                            match run.ca_opt.step_filtered_guarded(
                                 &mut model.params,
                                 &mut g,
                                 Some(cfg.clip),
@@ -1209,95 +738,28 @@ pub fn train_with(
                         None
                     };
                 let Some(source) = failure else {
-                    skips_in_row = 0;
-                    rolls_in_row = 0;
                     ca_i += 1;
-                    let ca_pos = (cur_outer * cfg.ca_iters + ca_i) as u64;
-                    let due = opts
-                        .checkpoint_every
-                        .is_some_and(|n| n > 0 && ca_pos.is_multiple_of(n as u64));
-                    let halting = opts.halt_after_ca.is_some_and(|n| ca_pos >= n)
-                        || opts.shutdown.as_ref().is_some_and(|t| t.requested());
-                    if due || halting {
-                        let state = capture_state(
-                            &cfg_json,
-                            cur_outer,
-                            cur_mini,
-                            tot,
-                            sup_tot,
-                            model,
-                            &opt,
-                            &ca_opt,
-                            &rng,
-                            best_val,
-                            &best_params,
-                            &te,
-                            &report,
-                            ds,
-                            lanes,
-                            1,
-                            ca_i as u64,
-                        );
-                        manager.save(&state, &mut opts.faults)?;
-                    }
-                    if halting {
-                        return Ok(report);
+                    if run.landed(model, ds, opts, Phase::Ca { done: ca_i }, 1)? {
+                        return Ok(run.report);
                     }
                     continue;
                 };
-                skips_in_row += 1;
-                rolls_in_row += 1;
-                match decide(
-                    opts.policy,
-                    skips_in_row,
-                    rolls_in_row,
-                    &source,
-                    cur_outer,
-                    ca_i,
-                )? {
-                    Recovery::Skip => {
-                        // CA iterations carry no loss accounting; a skip
-                        // consumes the iteration.
-                        report.skipped += 1;
-                        ca_i += 1;
-                    }
-                    Recovery::Rollback => {
-                        let state = manager.last_state()?;
-                        let (t, s) = apply_snapshot(
-                            &state,
-                            &cfg,
-                            model,
-                            ds,
-                            &mut te,
-                            &mut opt,
-                            &mut ca_opt,
-                            &mut rng,
-                            &mut report,
-                            &mut best_val,
-                            &mut best_params,
-                        )?;
-                        tot = t;
-                        sup_tot = s;
-                        cur_outer = state.outer as usize;
-                        cur_mini = state.mini as usize;
-                        entering_ca = resume_point(&state);
-                        report.rollbacks += 1;
-                        if let RecoveryPolicy::Rollback { lr_backoff, .. } = opts.policy {
-                            let scale = lr_backoff.powi(rolls_in_row as i32);
-                            opt.set_lr(state.opt_lr * scale);
-                            ca_opt.set_lr(state.ca_lr * scale);
-                        }
-                        continue 'outer_loop;
-                    }
+                match run.failed(model, ds, opts, Phase::Ca { done: ca_i }, source)? {
+                    // CA iterations carry no loss accounting; a skip
+                    // consumes the iteration.
+                    Recovery::Skip => ca_i += 1,
+                    Recovery::Rollback => continue 'outer_loop,
                 }
             }
         }
 
         // ---- TE refinement (line 11) ----------------------------------
-        if let Some(te) = te.as_mut() {
+        if let Some(te) = run.te.as_mut() {
             if cfg.ablation.te_iterative {
                 refine_terms(model, ds, te, &cfg);
-                report.te_rounds.push(snapshot(cur_outer + 1, te, ds));
+                run.report
+                    .te_rounds
+                    .push(snapshot(run.cur_outer + 1, te, ds));
             }
         }
 
@@ -1307,19 +769,19 @@ pub fn train_with(
             let preds = model.predict(&ds.graph, &ds.features, &seeds, 0xE7A1);
             let truth = ds.labels_of(&ds.split.val);
             let val = rmse(&preds, &truth);
-            report.val_rmse.push(val);
-            if val < best_val {
-                best_val = val;
-                best_params = Some(model.params.clone());
+            run.report.val_rmse.push(val);
+            if val < run.best_val {
+                run.best_val = val;
+                run.best_params = Some(model.params.clone());
             }
         }
 
-        cur_outer += 1;
-        cur_mini = 0;
-        tot = 0.0;
-        sup_tot = 0.0;
+        run.cur_outer += 1;
+        run.cur_mini = 0;
+        run.tot = 0.0;
+        run.sup_tot = 0.0;
     }
-    if let Some(best) = best_params {
+    if let Some(best) = run.best_params {
         // Install the selected model's values over the live optimizer
         // moments. The moments belong to the optimizer's trajectory, not
         // the selected model, and nothing downstream reads them — which
@@ -1333,7 +795,7 @@ pub fn train_with(
                 .copy_from_slice(best.value(id).as_slice());
         }
     }
-    Ok(report)
+    Ok(run.report)
 }
 
 /// Root mean squared error.
@@ -1562,35 +1024,6 @@ mod tests {
         let labels = Tensor::col_vec(vec![1.0, 2.0, 9.0]);
         let out = dedup_labels(&seeds, &deduped, &labels);
         assert_eq!(out.as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn prefetch_pipeline_is_bitwise_identical_to_serial() {
-        let mut cfg = ModelConfig::test_tiny();
-        cfg.outer_iters = 2;
-        cfg.mini_iters = 6;
-        let world = WorldConfig::tiny();
-        let run = |prefetch: usize| {
-            let mut ds = Dataset::full(&world, 8);
-            let mut model = CateHgn::new(
-                cfg.clone(),
-                ds.features.cols(),
-                ds.graph.schema().num_node_types(),
-                ds.graph.schema().num_link_types(),
-            );
-            let mut opts = TrainOptions {
-                prefetch,
-                ..TrainOptions::default()
-            };
-            let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-            (report, snapshot_params(&model.params))
-        };
-        let (r_serial, p_serial) = run(0);
-        for depth in [1, 2, 4] {
-            let (r, p) = run(depth);
-            assert_eq!(r_serial, r, "report diverged at prefetch {depth}");
-            assert_eq!(p_serial, p, "params diverged at prefetch {depth}");
-        }
     }
 
     #[test]

@@ -164,48 +164,6 @@ fn ca_phase_resume_reproduces_uninterrupted_run_bitwise() {
     par::set_num_threads(0);
 }
 
-/// The CA prefetch pipeline honours CA-phase halts the same way the
-/// serial loop does: halt inside the prefetched CA segment, resume a
-/// prefetched run, land bitwise on the uninterrupted prefetched run.
-#[test]
-fn ca_phase_resume_is_bitwise_under_prefetch() {
-    let cfg = tiny_cfg();
-    let pristine = Dataset::full(&WorldConfig::tiny(), 8);
-    let _guard = THREADS.lock().unwrap();
-    par::set_num_threads(1);
-    let reference = run_uninterrupted(&cfg, &pristine);
-    let path = ckpt_path("ca-prefetch");
-    {
-        let (mut model, mut ds) = build(&cfg, &pristine);
-        let mut opts = TrainOptions {
-            checkpoint_path: Some(path.clone()),
-            halt_after_ca: Some(3),
-            prefetch: 2,
-            ..TrainOptions::default()
-        };
-        train_with(&mut model, &mut ds, &mut opts).unwrap();
-    }
-    let (mut model, mut ds) = build(&cfg, &pristine);
-    let mut opts = TrainOptions {
-        checkpoint_path: Some(path.clone()),
-        resume: true,
-        prefetch: 2,
-        ..TrainOptions::default()
-    };
-    let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-    cleanup(&path);
-    assert_eq!(
-        reference,
-        (
-            params_fingerprint(&model.params),
-            report_fingerprint(&report),
-            report
-        ),
-        "prefetched CA halt/resume diverged"
-    );
-    par::set_num_threads(0);
-}
-
 /// Graceful shutdown is a first-class halt: a requested shutdown lands
 /// one final atomic checkpoint at the next step boundary and returns the
 /// partial report cleanly; chained interrupted resumes still finish
@@ -353,35 +311,46 @@ fn abort_policy_names_the_corrupted_gradient() {
     }
 }
 
+/// Run serially and at two data lanes: a lane group holding a bad step is
+/// abandoned whole, so each lane schedule skips each injected fault once.
 #[test]
 fn skip_batch_drops_the_fault_and_finishes() {
     let cfg = tiny_cfg();
     let pristine = Dataset::full(&WorldConfig::tiny(), 8);
-    let (mut model, mut ds) = build(&cfg, &pristine);
-    let mut opts = TrainOptions {
-        faults: FaultPlan::new(
-            5,
-            &[
-                Fault::PoisonBatch { step: 1 },
-                Fault::InfGradients { step: 5 },
-            ],
-        ),
-        policy: RecoveryPolicy::SkipBatch { max_consecutive: 2 },
-        ..TrainOptions::default()
-    };
-    let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-    assert_eq!(report.skipped, 2, "both injected faults should be skipped");
-    assert_eq!(report.rollbacks, 0);
-    assert_eq!(
-        report.hgn_losses.len(),
-        cfg.outer_iters,
-        "run must complete"
-    );
-    assert!(
-        model.params.all_finite(),
-        "skipped faults must not leak into params"
-    );
-    assert!(opts.faults.exhausted(), "every armed fault must have fired");
+    for lanes in [1, 2] {
+        let (mut model, mut ds) = build(&cfg, &pristine);
+        let mut opts = TrainOptions {
+            faults: FaultPlan::new(
+                5,
+                &[
+                    Fault::PoisonBatch { step: 1 },
+                    Fault::InfGradients { step: 5 },
+                ],
+            ),
+            policy: RecoveryPolicy::SkipBatch { max_consecutive: 2 },
+            data_lanes: lanes,
+            ..TrainOptions::default()
+        };
+        let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
+        assert_eq!(
+            report.skipped, 2,
+            "lanes={lanes}: both injected faults should be skipped"
+        );
+        assert_eq!(report.rollbacks, 0, "lanes={lanes}");
+        assert_eq!(
+            report.hgn_losses.len(),
+            cfg.outer_iters,
+            "lanes={lanes}: run must complete"
+        );
+        assert!(
+            model.params.all_finite(),
+            "lanes={lanes}: skipped faults must not leak into params"
+        );
+        assert!(
+            opts.faults.exhausted(),
+            "lanes={lanes}: every armed fault must have fired"
+        );
+    }
 }
 
 #[test]
@@ -412,34 +381,39 @@ fn skip_batch_aborts_after_consecutive_failures() {
     }
 }
 
+/// Run serially and at two data lanes: with checkpoints every 2 steps the
+/// faulty step 5 rolls back once to the position-4 snapshot either way.
 #[test]
 fn rollback_restores_the_snapshot_and_finishes() {
     let cfg = tiny_cfg();
     let pristine = Dataset::full(&WorldConfig::tiny(), 8);
-    let (mut model, mut ds) = build(&cfg, &pristine);
-    let mut opts = TrainOptions {
-        checkpoint_every: Some(2),
-        faults: FaultPlan::new(9, &[Fault::InfGradients { step: 5 }]),
-        policy: RecoveryPolicy::Rollback {
-            lr_backoff: 0.5,
-            max_retries: 2,
-        },
-        ..TrainOptions::default()
-    };
-    let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
-    assert_eq!(
-        report.rollbacks, 1,
-        "the single fault should cause one rollback"
-    );
-    assert_eq!(report.skipped, 0);
-    assert_eq!(
-        report.hgn_losses.len(),
-        cfg.outer_iters,
-        "run must complete"
-    );
-    assert!(report.hgn_losses.iter().all(|l| l.is_finite()));
-    assert!(model.params.all_finite());
-    assert!(opts.faults.exhausted());
+    for lanes in [1, 2] {
+        let (mut model, mut ds) = build(&cfg, &pristine);
+        let mut opts = TrainOptions {
+            checkpoint_every: Some(2),
+            faults: FaultPlan::new(9, &[Fault::InfGradients { step: 5 }]),
+            policy: RecoveryPolicy::Rollback {
+                lr_backoff: 0.5,
+                max_retries: 2,
+            },
+            data_lanes: lanes,
+            ..TrainOptions::default()
+        };
+        let report = train_with(&mut model, &mut ds, &mut opts).unwrap();
+        assert_eq!(
+            report.rollbacks, 1,
+            "lanes={lanes}: the single fault should cause one rollback"
+        );
+        assert_eq!(report.skipped, 0, "lanes={lanes}");
+        assert_eq!(
+            report.hgn_losses.len(),
+            cfg.outer_iters,
+            "lanes={lanes}: run must complete"
+        );
+        assert!(report.hgn_losses.iter().all(|l| l.is_finite()));
+        assert!(model.params.all_finite(), "lanes={lanes}");
+        assert!(opts.faults.exhausted(), "lanes={lanes}");
+    }
 }
 
 #[test]

@@ -41,8 +41,7 @@
 #      counts and to the tape-based scores.
 #   8. bench_scale --ci — self-gating scale path (fast tiers only):
 #      sublinear generator memory, shard round-trip + selective load,
-#      exact per-link-type cache invalidation, pipeline speedup (waived
-#      on single-CPU hosts) and serial-vs-prefetched bitwise equality.
+#      and exact per-link-type cache invalidation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,7 +72,6 @@ RUSTFMT_RATCHET=(
     crates/core/tests/infer_serve.rs
     crates/core/tests/pool_equivalence.rs
     crates/core/tests/resilience.rs
-    crates/core/tests/prop_pipeline.rs
     crates/dblp-sim/src/stream.rs
     crates/dblp-sim/tests/prop_stream.rs
     crates/eval/src/bin/catehgn_cli.rs
@@ -252,11 +250,9 @@ echo "== bench_serve (tape-free serving + embedding-cache gates) =="
 # PR-8 gates, self-asserted by the bench binary (--ci runs the fast
 # 10k/100k tiers only): sublinear generator memory, HGS1 shard
 # round-trip fingerprint equality + selective-load savings, exact
-# per-link-type cache invalidation after a term relink, and pipeline
-# speedup (single-CPU hosts get a no-regression floor, recorded as
-# single_cpu_waiver) with serial-vs-prefetched fingerprints bitwise
-# equal at 1 and 4 tensor threads. Writes results/BENCH_SCALE.json.
-echo "== bench_scale --ci (streaming + shards + pipeline gates) =="
+# per-link-type cache invalidation after a term relink. Writes
+# results/BENCH_SCALE.json.
+echo "== bench_scale --ci (streaming + shards + cache-invalidation gates) =="
 ./target/release/bench_scale --ci >/dev/null
 
 if [[ "${1:-}" == "--full" ]]; then
